@@ -22,11 +22,11 @@ type batchFrequencyState struct {
 
 // BatchFrequencyUpdater returns the fold function of Table V for the
 // given thresholds (nil = the paper's 100/200/500).
-func BatchFrequencyUpdater(thresholds []int) func(SectionState, *fot.TraceIndex, []int32) (SectionState, error) {
+func BatchFrequencyUpdater(thresholds []int) UpdateFunc {
 	if len(thresholds) == 0 {
 		thresholds = []int{100, 200, 500}
 	}
-	return func(prev SectionState, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
+	return func(prev SectionState, _ []Fact, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
 		return updateBatchFrequency(prev, ix, newRows, thresholds)
 	}
 }
@@ -143,7 +143,7 @@ type batchWindowsState struct {
 // BatchWindowsUpdater returns the fold function of the §V-A episode
 // miner. The census (optional) sizes product lines for LineFraction;
 // linkGap/minSize default as in BatchWindowsIndexed.
-func BatchWindowsUpdater(census *Census, linkGap time.Duration, minSize int) func(SectionState, *fot.TraceIndex, []int32) (SectionState, error) {
+func BatchWindowsUpdater(census *Census, linkGap time.Duration, minSize int) UpdateFunc {
 	if minSize < 2 {
 		minSize = 2
 	}
@@ -157,7 +157,7 @@ func BatchWindowsUpdater(census *Census, linkGap time.Duration, minSize int) fun
 		}
 	}
 	gapNS := int64(linkGap)
-	return func(prev SectionState, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
+	return func(prev SectionState, _ []Fact, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
 		return updateBatchWindows(prev, ix, newRows, lineSizes, gapNS, minSize)
 	}
 }

@@ -15,7 +15,7 @@ type categoryBreakdownState struct {
 }
 
 // UpdateCategoryBreakdown folds appended rows into the Table I state.
-func UpdateCategoryBreakdown(prev SectionState, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
+func UpdateCategoryBreakdown(prev SectionState, _ []Fact, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
 	st, _ := prev.(*categoryBreakdownState)
 	next := &categoryBreakdownState{}
 	if st != nil {
@@ -64,7 +64,7 @@ type componentBreakdownState struct {
 // UpdateComponentBreakdown folds appended rows into the Table II state.
 // Batches without failure rows leave the output untouched and return
 // prev unchanged.
-func UpdateComponentBreakdown(prev SectionState, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
+func UpdateComponentBreakdown(prev SectionState, _ []Fact, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
 	st, _ := prev.(*componentBreakdownState)
 	cols := ix.Cols()
 	var next *componentBreakdownState
@@ -129,7 +129,7 @@ type typeBreakdownState struct {
 // UpdateTypeBreakdown folds appended rows into the Fig. 2 state. Interned
 // type symbols are stable across index extensions, so the dense counter
 // columns carry over untouched.
-func UpdateTypeBreakdown(prev SectionState, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
+func UpdateTypeBreakdown(prev SectionState, _ []Fact, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
 	st, _ := prev.(*typeBreakdownState)
 	cols := ix.Cols()
 	var next *typeBreakdownState

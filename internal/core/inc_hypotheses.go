@@ -4,63 +4,19 @@ import (
 	"dcfail/internal/fot"
 )
 
-// hypothesesState composes the sub-states the five verdicts render from:
-// temporal counts (H1/H2), fleet-wide and HDD TBF scopes (H3/H4), and the
-// rack position map (H5).
-type hypothesesState struct {
-	temporal SectionState
-	tbf0     SectionState
-	tbfHDD   SectionState
-	rack     SectionState
-}
-
-// HypothesesUpdater returns the fold function of the verdicts section.
-// The rack view may be nil — H5 is then skipped at render, exactly as the
-// full path skips it without a census.
-func HypothesesUpdater(rc *RackCensus) func(SectionState, *fot.TraceIndex, []int32) (SectionState, error) {
-	return func(prev SectionState, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
-		st, _ := prev.(*hypothesesState)
-		var pt, p0, ph, pr SectionState
-		if st != nil {
-			pt, p0, ph, pr = st.temporal, st.tbf0, st.tbfHDD, st.rack
-		}
-		nt, err := UpdateTemporal(pt, ix, newRows)
-		if err != nil {
-			return nil, err
-		}
-		n0, err := updateTBFScope(p0, ix, newRows, 0)
-		if err != nil {
-			return nil, err
-		}
-		nh, err := updateTBFScope(ph, ix, newRows, fot.HDD)
-		if err != nil {
-			return nil, err
-		}
-		nr, err := updateRack(pr, ix, newRows, rc)
-		if err != nil {
-			return nil, err
-		}
-		if st != nil && nt == pt && n0 == p0 && nh == ph && nr == pr {
-			return prev, nil // every sub-state carried through unchanged
-		}
-		return &hypothesesState{temporal: nt, tbf0: n0, tbfHDD: nh, rack: nr}, nil
-	}
-}
-
-// HypothesesFromState renders the five verdicts from carried state,
-// byte-identical to HypothesesIndexed with the same census. The TBF and
-// rack renders share the full path's memo slots, so whichever section
-// renders first on an epoch fills them for the others.
-func HypothesesFromState(state SectionState, ix *fot.TraceIndex, rc *RackCensus) (*HypothesesResult, error) {
-	// state is nil only when nothing has folded (empty index); the
-	// sub-renders' own index guards produce the full path's errors then.
-	st, _ := state.(*hypothesesState)
-	if st == nil {
-		st = &hypothesesState{}
-	}
+// HypothesesFromState renders the five verdicts, byte-identical to
+// HypothesesIndexed with the same census, from the temporal fact (H1/H2),
+// the all-class TBF fact (H3), the verdicts section's own HDD TBF scope
+// (H4) and the rack fact (H5). The rack view may be nil — H5 is then
+// skipped, exactly as the full path skips it without a census. The TBF
+// and rack renders share the full path's memo slots, so whichever
+// section renders first on an epoch fills them for the others. The
+// states are nil only when nothing has folded (empty index); the
+// sub-renders' own index guards produce the full path's errors then.
+func HypothesesFromState(temporal, tbfAll, tbfHDD, rack SectionState, ix *fot.TraceIndex, rc *RackCensus) (*HypothesesResult, error) {
 	res := &HypothesesResult{}
 
-	dow, err := DayOfWeekFromState(st.temporal, ix, 0)
+	dow, err := DayOfWeekFromState(temporal, ix, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +30,7 @@ func HypothesesFromState(state SectionState, ix *fot.TraceIndex, rc *RackCensus)
 		Detail:    "weekday-only: " + dow.WeekdayTest.String(),
 	})
 
-	hod, err := HourOfDayFromState(st.temporal, ix, 0)
+	hod, err := HourOfDayFromState(temporal, ix, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +43,7 @@ func HypothesesFromState(state SectionState, ix *fot.TraceIndex, rc *RackCensus)
 		Test:      hod.Test,
 	})
 
-	tbf, err := TBFFromState(st.tbf0, ix, 0)
+	tbf, err := TBFFromState(tbfAll, ix, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +57,7 @@ func HypothesesFromState(state SectionState, ix *fot.TraceIndex, rc *RackCensus)
 		Detail:    "every family (exp/weibull/gamma/lognormal) tested; least-bad: " + tbf.BestFamily,
 	})
 
-	hddTBF, err := TBFFromState(st.tbfHDD, ix, fot.HDD)
+	hddTBF, err := TBFFromState(tbfHDD, ix, fot.HDD)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +71,7 @@ func HypothesesFromState(state SectionState, ix *fot.TraceIndex, rc *RackCensus)
 	})
 
 	if rc != nil {
-		ra, err := RackAnalysisFromState(st.rack, ix, rc)
+		ra, err := RackAnalysisFromState(rack, ix, rc)
 		if err != nil {
 			return nil, err
 		}

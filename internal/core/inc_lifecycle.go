@@ -8,19 +8,10 @@ import (
 	"dcfail/internal/fot"
 )
 
-// instKey identifies one failing component instance — the repeat-dedup
-// key of fot.TraceIndex.FirstInstanceRows.
-type instKey struct {
-	host      uint64
-	dev       uint8
-	slot, typ uint32
-}
-
 // lifecycleState carries Fig. 6's first-instance failure census: one
 // age-month histogram per component class over deduplicated failures,
 // plus the first-instance time span that bounds the exposure window.
 type lifecycleState struct {
-	seen      map[instKey]struct{}
 	counts    [][]int // [component code][service month], grown on demand
 	loNS      int64   // time of the earliest first-instance row
 	hiNS      int64   // time of the latest first-instance row
@@ -28,40 +19,33 @@ type lifecycleState struct {
 }
 
 func (st *lifecycleState) clone() *lifecycleState {
-	next := &lifecycleState{
-		seen:      st.seen, // absorbed: prev is handed off, never reused
+	return &lifecycleState{
 		counts:    append([][]int(nil), st.counts...),
 		loNS:      st.loNS,
 		hiNS:      st.hiNS,
 		haveFirst: st.haveFirst,
 	}
-	return next
 }
 
-// UpdateLifecycle folds appended rows into the Fig. 6 state.
-func UpdateLifecycle(prev SectionState, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
+// UpdateLifecycle folds the fold's first-instance rows, read from the
+// instances fact (facts[0]), into the Fig. 6 state.
+func UpdateLifecycle(prev SectionState, facts []Fact, ix *fot.TraceIndex, _ []int32) (SectionState, error) {
 	st, _ := prev.(*lifecycleState)
+	first := newFirstInstances(facts[0])
+	if len(first) == 0 {
+		if st == nil {
+			return &lifecycleState{counts: make([][]int, incComponents)}, nil
+		}
+		return prev, nil
+	}
 	cols := ix.Cols()
 	var next *lifecycleState
-	for _, r := range newRows {
-		if !fot.Category(cols.Category[r]).IsFailure() {
-			continue
-		}
-		if next == nil {
-			if st != nil {
-				next = st.clone()
-			} else {
-				next = &lifecycleState{
-					seen:   make(map[instKey]struct{}),
-					counts: make([][]int, incComponents),
-				}
-			}
-		}
-		k := instKey{cols.Host[r], cols.Device[r], cols.SlotSym[r], cols.TypeSym[r]}
-		if _, ok := next.seen[k]; ok {
-			continue
-		}
-		next.seen[k] = struct{}{}
+	if st != nil {
+		next = st.clone()
+	} else {
+		next = &lifecycleState{counts: make([][]int, incComponents)}
+	}
+	for _, r := range first {
 		t := cols.TimeNS[r]
 		if !next.haveFirst {
 			next.loNS = t
@@ -83,12 +67,6 @@ func UpdateLifecycle(prev SectionState, ix *fot.TraceIndex, newRows []int32) (Se
 			next.counts[dev] = grown
 		}
 		next.counts[dev][m]++
-	}
-	if next == nil {
-		if st == nil {
-			return &lifecycleState{seen: make(map[instKey]struct{}), counts: make([][]int, incComponents)}, nil
-		}
-		return prev, nil
 	}
 	return next, nil
 }

@@ -22,7 +22,6 @@ type pfEvent struct {
 // pending row per host replays that exactly: pair → both consumed,
 // miss → the older row is discarded and the newer becomes pending.
 type corrPairsState struct {
-	seen        map[instKey]struct{}
 	pending     map[uint64]int32 // host -> pending row; -1 = none (host still counts as failed)
 	counts      map[[2]fot.Component]int
 	totalPairs  int
@@ -32,35 +31,34 @@ type corrPairsState struct {
 }
 
 // CorrelatedPairsUpdater returns the fold function of Table VI for the
-// given window (<= 0 = the paper's 24h).
-func CorrelatedPairsUpdater(window time.Duration) func(SectionState, *fot.TraceIndex, []int32) (SectionState, error) {
+// given window (<= 0 = the paper's 24h). It reads the fold's
+// first-instance rows from the instances fact (facts[0]).
+func CorrelatedPairsUpdater(window time.Duration) UpdateFunc {
 	if window <= 0 {
 		window = 24 * time.Hour
 	}
 	windowNS := int64(window)
-	return func(prev SectionState, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
-		return updateCorrPairs(prev, ix, newRows, windowNS)
+	return func(prev SectionState, facts []Fact, ix *fot.TraceIndex, _ []int32) (SectionState, error) {
+		return updateCorrPairs(prev, ix, newFirstInstances(facts[0]), windowNS)
 	}
 }
 
 func newCorrPairsState() *corrPairsState {
 	return &corrPairsState{
-		seen:        make(map[instKey]struct{}),
 		pending:     make(map[uint64]int32),
 		counts:      make(map[[2]fot.Component]int),
 		pairedHosts: make(map[uint64]bool),
 	}
 }
 
-func updateCorrPairs(prev SectionState, ix *fot.TraceIndex, newRows []int32, windowNS int64) (SectionState, error) {
+// updateCorrPairs folds first, the fold's first-instance rows in time
+// order.
+func updateCorrPairs(prev SectionState, ix *fot.TraceIndex, first []int32, windowNS int64) (SectionState, error) {
 	st, _ := prev.(*corrPairsState)
 	cols := ix.Cols()
 	powerFan := canonicalPair(fot.Power, fot.Fan)
 	var next *corrPairsState
-	for _, r := range newRows {
-		if !fot.Category(cols.Category[r]).IsFailure() {
-			continue
-		}
+	for _, r := range first {
 		if next == nil {
 			if st != nil {
 				next = &corrPairsState{}
@@ -69,11 +67,6 @@ func updateCorrPairs(prev SectionState, ix *fot.TraceIndex, newRows []int32, win
 				next = newCorrPairsState()
 			}
 		}
-		k := instKey{cols.Host[r], cols.Device[r], cols.SlotSym[r], cols.TypeSym[r]}
-		if _, ok := next.seen[k]; ok {
-			continue
-		}
-		next.seen[k] = struct{}{}
 		host := cols.Host[r]
 		a, ok := next.pending[host]
 		if !ok || a < 0 {
@@ -187,12 +180,12 @@ type syncRepeatState struct {
 
 // SyncRepeatUpdater returns the fold function of Table VIII for the
 // given skew (<= 0 = the paper's 2 minutes).
-func SyncRepeatUpdater(maxSkew time.Duration) func(SectionState, *fot.TraceIndex, []int32) (SectionState, error) {
+func SyncRepeatUpdater(maxSkew time.Duration) UpdateFunc {
 	if maxSkew <= 0 {
 		maxSkew = 2 * time.Minute
 	}
 	skew := int64(maxSkew / time.Second)
-	return func(prev SectionState, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
+	return func(prev SectionState, _ []Fact, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
 		return updateSyncRepeat(prev, ix, newRows, skew)
 	}
 }

@@ -36,7 +36,7 @@ type responseTimesState struct {
 }
 
 // UpdateResponseTimes folds appended rows into the Fig. 9 state.
-func UpdateResponseTimes(prev SectionState, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
+func UpdateResponseTimes(prev SectionState, _ []Fact, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
 	st, _ := prev.(*responseTimesState)
 	cols := ix.Cols()
 	var next *responseTimesState
@@ -109,7 +109,7 @@ type responseByClassState struct {
 }
 
 // UpdateResponseTimesByClass folds appended rows into the Fig. 10 state.
-func UpdateResponseTimesByClass(prev SectionState, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
+func UpdateResponseTimesByClass(prev SectionState, _ []Fact, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
 	st, _ := prev.(*responseByClassState)
 	cols := ix.Cols()
 	var next *responseByClassState
@@ -190,8 +190,8 @@ type lineRTState struct {
 
 // LineRTUpdater returns the fold function of the Fig. 11 scope for
 // component c (0 = all rows).
-func LineRTUpdater(c fot.Component) func(SectionState, *fot.TraceIndex, []int32) (SectionState, error) {
-	return func(prev SectionState, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
+func LineRTUpdater(c fot.Component) UpdateFunc {
+	return func(prev SectionState, _ []Fact, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
 		return updateLineRT(prev, ix, newRows, c)
 	}
 }

@@ -17,7 +17,7 @@ type serverSkewState struct {
 }
 
 // UpdateServerSkew folds appended rows into the Fig. 7 state.
-func UpdateServerSkew(prev SectionState, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
+func UpdateServerSkew(prev SectionState, _ []Fact, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
 	st, _ := prev.(*serverSkewState)
 	cols := ix.Cols()
 	var next *serverSkewState
@@ -104,85 +104,58 @@ func ServerSkewFromState(state SectionState, ix *fot.TraceIndex) (*ServerSkewRes
 	return res, nil
 }
 
-// repeatState carries §III-D's per-instance repair flags and host sets.
+// repeatState carries §III-D's host sets; the per-instance repair flags
+// live in the instances fact.
 type repeatState struct {
-	groups            map[instKey]uint8
 	serversWithRepeat map[uint64]bool
 	hostsSeen         map[uint64]bool
 }
 
-// UpdateRepeats folds appended rows into the §III-D state. Rows arrive in
-// global time order, so the fixed→repeated flag automaton sees the same
-// sequence the full scan does.
-func UpdateRepeats(prev SectionState, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
+func newRepeatState() *repeatState {
+	return &repeatState{serversWithRepeat: make(map[uint64]bool), hostsSeen: make(map[uint64]bool)}
+}
+
+// UpdateRepeats folds the instances fact's (facts[0]) new first-instance
+// and newly repeated rows into the §III-D host sets. Every host's first
+// failure row is a first instance, and a host has a repeat exactly when
+// one of its instances was marked repeated, so those rows suffice.
+func UpdateRepeats(prev SectionState, facts []Fact, ix *fot.TraceIndex, _ []int32) (SectionState, error) {
 	st, _ := prev.(*repeatState)
-	cols := ix.Cols()
-	const (
-		gFixed    = 1
-		gRepeated = 2
-	)
-	var next *repeatState
-	for _, r := range newRows {
-		if !fot.Category(cols.Category[r]).IsFailure() {
-			continue
-		}
-		if next == nil {
-			next = &repeatState{
-				groups:            make(map[instKey]uint8),
-				serversWithRepeat: make(map[uint64]bool),
-				hostsSeen:         make(map[uint64]bool),
-			}
-			if st != nil { // absorbed: prev handed off
-				next.groups = st.groups
-				next.serversWithRepeat = st.serversWithRepeat
-				next.hostsSeen = st.hostsSeen
-			}
-		}
-		k := instKey{cols.Host[r], cols.Device[r], cols.SlotSym[r], cols.TypeSym[r]}
-		g := next.groups[k]
-		if g&gFixed != 0 {
-			g |= gRepeated
-			next.serversWithRepeat[cols.Host[r]] = true
-		}
-		if fot.Category(cols.Category[r]) == fot.Fixing {
-			g |= gFixed
-		}
-		next.groups[k] = g
-		next.hostsSeen[cols.Host[r]] = true
-	}
-	if next == nil {
+	if !facts[0].Changed {
 		if st == nil {
-			return &repeatState{
-				groups:            make(map[instKey]uint8),
-				serversWithRepeat: make(map[uint64]bool),
-				hostsSeen:         make(map[uint64]bool),
-			}, nil
+			return newRepeatState(), nil
 		}
 		return prev, nil
+	}
+	inst := facts[0].State.(*instanceTable)
+	cols := ix.Cols()
+	next := &repeatState{}
+	if st != nil {
+		*next = *st // containers absorbed: prev handed off
+	} else {
+		next = newRepeatState()
+	}
+	for _, r := range inst.first {
+		next.hostsSeen[cols.Host[r]] = true
+	}
+	for _, r := range inst.repeats {
+		next.serversWithRepeat[cols.Host[r]] = true
 	}
 	return next, nil
 }
 
-// RepeatsFromState renders §III-D from carried state, byte-identical to
-// RepeatAnalysisIndexed.
-func RepeatsFromState(state SectionState, ix *fot.TraceIndex) (*RepeatResult, error) {
+// RepeatsFromState renders §III-D from carried state and the instances
+// fact, byte-identical to RepeatAnalysisIndexed.
+func RepeatsFromState(state, instances SectionState, ix *fot.TraceIndex) (*RepeatResult, error) {
 	if _, err := requireFailureRows(ix); err != nil {
 		return nil, err
 	}
 	st := state.(*repeatState)
-	const (
-		gFixed    = 1
-		gRepeated = 2
-	)
-	res := &RepeatResult{FailedServers: len(st.hostsSeen)}
-	for _, g := range st.groups {
-		if g&gFixed == 0 {
-			continue
-		}
-		res.FixedGroups++
-		if g&gRepeated != 0 {
-			res.RepeatedGroups++
-		}
+	inst := instances.(*instanceTable)
+	res := &RepeatResult{
+		FailedServers:  len(st.hostsSeen),
+		FixedGroups:    inst.fixed,
+		RepeatedGroups: inst.repeated,
 	}
 	if res.FixedGroups > 0 {
 		res.NeverRepeatFraction = 1 - float64(res.RepeatedGroups)/float64(res.FixedGroups)

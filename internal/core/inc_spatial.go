@@ -35,53 +35,51 @@ func NewRackCensus(census *Census) *RackCensus {
 	return rc
 }
 
-// rackState carries the spatial sections' first-instance failed-host
-// positions per census datacenter. The full path's host map is built by
-// last-write-wins over time-ordered first-instance rows; folding rows in
-// that same order preserves the overwrite semantics.
+// rackState is the rack fact: first-instance failed-host positions per
+// census datacenter. The full path's host map is built by
+// last-write-wins over time-ordered first-instance rows; folding those
+// rows in that same order preserves the overwrite semantics.
 type rackState struct {
-	seen  map[instKey]struct{}
 	perDC []map[uint64]int32 // [datacenter index] host -> position
 }
 
-// RackUpdater returns the fold function of the spatial sections for the
-// given census view (nil allowed — the state then stays empty and
-// renders fail with the census guard, as the full path does).
-func RackUpdater(rc *RackCensus) func(SectionState, *fot.TraceIndex, []int32) (SectionState, error) {
-	return func(prev SectionState, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
-		return updateRack(prev, ix, newRows, rc)
-	}
+// RackFact returns the rack fold fact for the given census view (nil
+// allowed — the state then stays empty and renders fail with the census
+// guard, as the full path does). It reads the fold's first-instance rows
+// from inst, and changes identity only on folds that add an instance.
+func RackFact(rc *RackCensus, inst *FoldFact) *FoldFact {
+	return &FoldFact{ID: "rack", Facts: []*FoldFact{inst},
+		Update: func(prev SectionState, facts []Fact, ix *fot.TraceIndex, _ []int32) (SectionState, error) {
+			return updateRack(prev, ix, newFirstInstances(facts[0]), rc)
+		}}
 }
 
-func updateRack(prev SectionState, ix *fot.TraceIndex, newRows []int32, rc *RackCensus) (SectionState, error) {
+// updateRack folds first, the fold's first-instance rows in time order.
+func updateRack(prev SectionState, ix *fot.TraceIndex, first []int32, rc *RackCensus) (SectionState, error) {
 	st, _ := prev.(*rackState)
+	if len(first) == 0 {
+		if st == nil {
+			return newRackState(rc), nil
+		}
+		return prev, nil
+	}
+	next := &rackState{}
+	if st != nil {
+		next.perDC = st.perDC // absorbed: prev handed off
+	} else {
+		next = newRackState(rc)
+	}
+	if rc == nil {
+		return next, nil
+	}
 	cols := ix.Cols()
-	var symToDC map[uint32]int
-	if rc != nil {
-		symToDC = make(map[uint32]int, len(rc.census.Datacenters))
-		for d := range rc.census.Datacenters {
-			if sym, ok := cols.IDCSymOf(rc.census.Datacenters[d].ID); ok {
-				symToDC[sym] = d
-			}
+	symToDC := make(map[uint32]int, len(rc.census.Datacenters))
+	for d := range rc.census.Datacenters {
+		if sym, ok := cols.IDCSymOf(rc.census.Datacenters[d].ID); ok {
+			symToDC[sym] = d
 		}
 	}
-	var next *rackState
-	for _, r := range newRows {
-		if !fot.Category(cols.Category[r]).IsFailure() {
-			continue
-		}
-		if next == nil {
-			next = newRackState(rc)
-			if st != nil { // absorbed: prev handed off
-				next.seen = st.seen
-				next.perDC = st.perDC
-			}
-		}
-		k := instKey{cols.Host[r], cols.Device[r], cols.SlotSym[r], cols.TypeSym[r]}
-		if _, ok := next.seen[k]; ok {
-			continue
-		}
-		next.seen[k] = struct{}{}
+	for _, r := range first {
 		d, ok := symToDC[cols.IDCSym[r]]
 		if !ok {
 			continue
@@ -90,17 +88,11 @@ func updateRack(prev SectionState, ix *fot.TraceIndex, newRows []int32, rc *Rack
 			next.perDC[d][cols.Host[r]] = pos
 		}
 	}
-	if next == nil {
-		if st == nil {
-			return newRackState(rc), nil
-		}
-		return prev, nil
-	}
 	return next, nil
 }
 
 func newRackState(rc *RackCensus) *rackState {
-	st := &rackState{seen: make(map[instKey]struct{})}
+	st := &rackState{}
 	if rc != nil {
 		st.perDC = make([]map[uint64]int32, len(rc.census.Datacenters))
 		for d := range st.perDC {

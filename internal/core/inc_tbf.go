@@ -25,10 +25,16 @@ type tbfScopeState struct {
 	idcGaps [][]float64 // raw (unfloored) gaps per IDC symbol, chronological
 }
 
-// TBFUpdater returns the fold function of the Fig. 5 scope for component
-// c (0 = all classes).
-func TBFUpdater(c fot.Component) func(SectionState, *fot.TraceIndex, []int32) (SectionState, error) {
-	return func(prev SectionState, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
+// TBFFact returns the fold fact of the all-class TBF scope, read by
+// Fig. 5 and the verdicts.
+func TBFFact() *FoldFact {
+	return &FoldFact{ID: "tbf", Update: TBFUpdater(0)}
+}
+
+// TBFUpdater returns the fold function of the TBF scope for component c
+// (0 = all classes).
+func TBFUpdater(c fot.Component) UpdateFunc {
+	return func(prev SectionState, _ []Fact, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
 		return updateTBFScope(prev, ix, newRows, c)
 	}
 }

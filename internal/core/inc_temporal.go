@@ -7,17 +7,22 @@ import (
 	"dcfail/internal/stats"
 )
 
-// temporalState carries Figs. 3 & 4 jointly: per-component weekday and
-// hour histograms over failure rows (component 0 = all classes).
+// temporalState is the temporal fact, read by Figs. 3 & 4 and the
+// verdicts: per-component weekday and hour histograms over failure rows
+// (component 0 = all classes).
 type temporalState struct {
 	dow  [][7]int  // [component code][weekday]
 	hod  [][24]int // [component code][hour]
 	fail []int     // failures per component code
 }
 
-// UpdateTemporal folds appended rows into the shared Fig. 3/Fig. 4 state.
-// All-false-alarm batches return prev unchanged.
-func UpdateTemporal(prev SectionState, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
+// TemporalFact returns the temporal fold fact. All-false-alarm batches
+// carry it unchanged.
+func TemporalFact() *FoldFact {
+	return &FoldFact{ID: "temporal", Update: updateTemporal}
+}
+
+func updateTemporal(prev SectionState, _ []Fact, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
 	st, _ := prev.(*temporalState)
 	cols := ix.Cols()
 	var next *temporalState

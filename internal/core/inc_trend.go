@@ -28,7 +28,7 @@ type trendState struct {
 }
 
 // UpdateTrend folds appended rows into the per-year trend aggregates.
-func UpdateTrend(prev SectionState, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
+func UpdateTrend(prev SectionState, _ []Fact, ix *fot.TraceIndex, newRows []int32) (SectionState, error) {
 	st, _ := prev.(*trendState)
 	cols := ix.Cols()
 	var next *trendState

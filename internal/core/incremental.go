@@ -8,12 +8,37 @@ import (
 	"dcfail/internal/fot"
 )
 
-// SectionState is one section's carried fold state: an opaque value owned
-// by the IncrementalEngine, produced by that section's Update and read by
-// its RenderState. States must be pointers (or nil): the engine detects
+// SectionState is one section's (or fold fact's) carried fold state: an
+// opaque value owned by the IncrementalEngine, produced by an Update and
+// read by renders. States must be pointers (or nil): the engine detects
 // "nothing changed" by interface identity between Update's input and
 // output.
 type SectionState any
+
+// Fact is one fold fact as an Update sees it: the fact's state after the
+// current fold, and whether that fold changed its identity. A fact's
+// per-fold outputs (such as the instances fact's first-instance rows)
+// describe the current fold only when Changed is set.
+type Fact struct {
+	State   SectionState
+	Changed bool
+}
+
+// UpdateFunc is the fold function of a section or a fold fact. facts are
+// the states of the facts it declares, in declaration order, already
+// folded over the same rows.
+type UpdateFunc func(prev SectionState, facts []Fact, ix *fot.TraceIndex, newRows []int32) (SectionState, error)
+
+// FoldFact is fold state shared by several sections: an ID and an Update
+// with no render. The engine folds each fact exactly once per Advance,
+// before any section, and passes its state to every section (and later
+// fact) that declares it. Facts are identified by pointer, so one
+// *FoldFact declared by several sections is one shared state.
+type FoldFact struct {
+	ID     string
+	Facts  []*FoldFact // facts this fact's Update reads
+	Update UpdateFunc
+}
 
 // IncrementalSection is the delta path of one report section. The
 // full-recompute core.Section stays the golden reference; an
@@ -25,21 +50,27 @@ type SectionState any
 //   - Update folds the appended rows into the next state. prev is nil on
 //     the first fold and after an engine rebuild; newRows is exactly the
 //     appended row range, pre-sorted by the global (time, id) order, and
-//     must not be retained or mutated.
-//   - Update must not write through prev. It either returns prev itself
-//     (identity signals "no output-relevant change"; the engine may then
-//     carry the previous epoch's rendered bytes forward) or a freshly
-//     allocated top-level state. The fresh state may absorb prev's
-//     containers — ownership hand-off: once Update returns, the engine
-//     never renders or folds the handed-off prev again.
-//   - RenderState is a pure function of (state, ix): it must produce
-//     bytes identical to the section's full-recompute render over the
-//     same ticket prefix, including error values and any partial output
-//     written before an error.
+//     must not be retained or mutated. A nil Update means the section
+//     renders from its facts alone and carries no state of its own.
+//   - Update must not write through prev or through any fact. It either
+//     returns prev itself (identity signals "no output-relevant change")
+//     or a freshly allocated top-level state. The fresh state may absorb
+//     prev's containers — ownership hand-off: once Update returns, the
+//     engine never renders or folds the handed-off prev again. A state
+//     never retains a fact's state or containers; readers receive facts
+//     anew on every fold and render.
+//   - The section counts as changed exactly when its own state or a fact
+//     it declares changes identity; otherwise the engine may carry the
+//     previous epoch's rendered bytes forward.
+//   - RenderState is a pure function of (state, facts, ix): it must
+//     produce bytes identical to the section's full-recompute render over
+//     the same ticket prefix, including error values and any partial
+//     output written before an error.
 type IncrementalSection struct {
 	ID          string
-	Update      func(prev SectionState, ix *fot.TraceIndex, newRows []int32) (SectionState, error)
-	RenderState func(state SectionState, ix *fot.TraceIndex, w io.Writer) error
+	Facts       []*FoldFact
+	Update      UpdateFunc
+	RenderState func(state SectionState, facts []SectionState, ix *fot.TraceIndex, w io.Writer) error
 }
 
 // IncrementalEngineStats is a point-in-time snapshot of engine health.
@@ -50,10 +81,10 @@ type IncrementalEngineStats struct {
 	Broken   []string // sections whose Update failed; full fallback
 }
 
-// IncrementalEngine carries every section's fold state across epochs.
-// Advance (one caller at a time, the fold path) consumes appended row
-// ranges; TryRender serves section renders from state under a read lock,
-// so renders of the current epoch never race the next fold's Update.
+// IncrementalEngine carries every fact's and section's fold state across
+// epochs. Advance (one caller at a time, the fold path) consumes appended
+// row ranges; TryRender serves section renders from state under a read
+// lock, so renders of the current epoch never race the next fold's Update.
 //
 // The engine assumes rows are appended in global (time, id) order — the
 // invariant live sources provide. When a batch violates it (out-of-order
@@ -61,11 +92,19 @@ type IncrementalEngineStats struct {
 // every state from the full permutation: correctness never depends on
 // arrival order, only the delta fast path does.
 type IncrementalEngine struct {
-	mu       sync.RWMutex
+	mu sync.RWMutex
+
+	facts      []*FoldFact // every declared fact, each after the facts it reads
+	factDeps   [][]int     // [fact] indices of the facts it reads
+	factStates []SectionState
+	factBroken []bool
+
 	sections []IncrementalSection
+	secDeps  [][]int // [section] indices of the facts it reads
 	byID     map[string]int
 	states   []SectionState
 	broken   []bool
+
 	epoch    uint64
 	rows     int
 	lastT    int64 // (time, id) key of the last folded row
@@ -74,24 +113,45 @@ type IncrementalEngine struct {
 	rebuilds uint64
 }
 
-// NewIncrementalEngine builds an engine over the given sections with no
-// folded rows (epoch 0).
+// NewIncrementalEngine builds an engine over the given sections and the
+// facts they declare, with no folded rows (epoch 0).
 func NewIncrementalEngine(sections []IncrementalSection) *IncrementalEngine {
 	e := &IncrementalEngine{
 		sections: sections,
+		secDeps:  make([][]int, len(sections)),
 		byID:     make(map[string]int, len(sections)),
 		states:   make([]SectionState, len(sections)),
 		broken:   make([]bool, len(sections)),
 	}
+	index := make(map[*FoldFact]int)
+	var add func(f *FoldFact) int
+	add = func(f *FoldFact) int {
+		if i, ok := index[f]; ok {
+			return i
+		}
+		deps := make([]int, len(f.Facts))
+		for j, d := range f.Facts {
+			deps[j] = add(d)
+		}
+		index[f] = len(e.facts)
+		e.facts = append(e.facts, f)
+		e.factDeps = append(e.factDeps, deps)
+		return len(e.facts) - 1
+	}
 	for i, sec := range sections {
 		e.byID[sec.ID] = i
+		for _, f := range sec.Facts {
+			e.secDeps[i] = append(e.secDeps[i], add(f))
+		}
 	}
+	e.factStates = make([]SectionState, len(e.facts))
+	e.factBroken = make([]bool, len(e.facts))
 	return e
 }
 
 // Advance folds the rows appended since the previous call — rows
-// [watermark, ix.Len()) — into every section's state and tags the result
-// with epoch. It returns the set of section ids whose rendered output may
+// [watermark, ix.Len()) — into every fact's and section's state and tags
+// the result with epoch. It returns the set of section ids whose rendered output may
 // differ from the previous epoch; ids absent from the map are guaranteed
 // byte-identical, so cached renders may be carried forward. Advance must
 // be externally serialized with respect to itself (serve's fold mutex).
@@ -151,36 +211,78 @@ func (e *IncrementalEngine) Advance(ix *fot.TraceIndex, epoch uint64) map[string
 	return changed
 }
 
-// foldLocked runs every live section's Update over rows.
+// foldLocked folds rows into every fact, once each and in dependency
+// order, then into every live section.
 func (e *IncrementalEngine) foldLocked(ix *fot.TraceIndex, rows []int32, changed map[string]bool) {
+	views := make([]Fact, len(e.facts))
+	for i, f := range e.facts {
+		in, ok := e.gather(views, e.factDeps[i])
+		if !ok || e.factBroken[i] {
+			e.factStates[i], e.factBroken[i] = nil, true
+			continue
+		}
+		next, err := f.Update(e.factStates[i], in, ix, rows)
+		if err != nil {
+			e.factStates[i], e.factBroken[i] = nil, true
+			continue
+		}
+		views[i] = Fact{State: next, Changed: next != e.factStates[i]}
+		e.factStates[i] = next
+	}
 	for i, sec := range e.sections {
 		if e.broken[i] {
 			// Full-fallback sections re-render from the new index.
 			changed[sec.ID] = true
 			continue
 		}
-		next, err := sec.Update(e.states[i], ix, rows)
-		if err != nil {
-			e.states[i] = nil
-			e.broken[i] = true
+		in, ok := e.gather(views, e.secDeps[i])
+		if !ok {
+			e.states[i], e.broken[i] = nil, true
 			changed[sec.ID] = true
 			continue
 		}
-		if next != e.states[i] {
+		moved := false
+		for _, f := range in {
+			moved = moved || f.Changed
+		}
+		if sec.Update != nil {
+			next, err := sec.Update(e.states[i], in, ix, rows)
+			if err != nil {
+				e.states[i], e.broken[i] = nil, true
+				changed[sec.ID] = true
+				continue
+			}
+			moved = moved || next != e.states[i]
+			e.states[i] = next
+		}
+		if moved {
 			changed[sec.ID] = true
 		}
-		e.states[i] = next
 	}
 }
 
-// rebuildLocked discards every state and refolds the whole permutation.
+// gather picks the facts at deps out of the current fold's views,
+// reporting false if any of them is broken.
+func (e *IncrementalEngine) gather(views []Fact, deps []int) ([]Fact, bool) {
+	in := make([]Fact, len(deps))
+	for j, d := range deps {
+		if e.factBroken[d] {
+			return nil, false
+		}
+		in[j] = views[d]
+	}
+	return in, true
+}
+
+// rebuildLocked discards every state and refolds the whole permutation,
+// each fact once from nil.
 func (e *IncrementalEngine) rebuildLocked(ix *fot.TraceIndex, epoch uint64, changed map[string]bool) {
 	e.rebuilds++
 	perm := ix.TimePerm()
-	for i := range e.states {
-		e.states[i] = nil
-		e.broken[i] = false
-	}
+	clear(e.factStates)
+	clear(e.factBroken)
+	clear(e.states)
+	clear(e.broken)
 	e.foldLocked(ix, perm, changed)
 	// A rebuild invalidates identity-based carry for every section.
 	for _, sec := range e.sections {
@@ -210,7 +312,11 @@ func (e *IncrementalEngine) TryRender(id string, epoch uint64, ix *fot.TraceInde
 	if !known || e.broken[i] || epoch != e.epoch {
 		return false, nil
 	}
-	return true, e.sections[i].RenderState(e.states[i], ix, w)
+	facts := make([]SectionState, len(e.secDeps[i]))
+	for j, d := range e.secDeps[i] {
+		facts[j] = e.factStates[d]
+	}
+	return true, e.sections[i].RenderState(e.states[i], facts, ix, w)
 }
 
 // Stats snapshots the engine's epoch, row watermark, rebuild count and

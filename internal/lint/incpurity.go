@@ -6,17 +6,18 @@ import (
 )
 
 // Incpurity enforces the incremental section engine's state contract on
-// fold functions (DESIGN §9): Update must treat its prev state as
-// immutable — a snapshot that rendered epoch N may still be read while
-// epoch N+1 folds — and must not let map iteration order reach carried
-// state. Mutating through prev (or a type-asserted alias of it) is the
-// bug class the engine's byte-identity test only catches when a fold
-// races a render; this rule catches it at review time.
+// fold functions (DESIGN §9): Update must treat its prev state and the
+// shared fold facts it reads as immutable — a snapshot that rendered
+// epoch N may still be read while epoch N+1 folds — and must not let map
+// iteration order reach carried state. Mutating through prev or a fact
+// (or an alias of either) is the bug class the engine's byte-identity
+// test only catches when a fold races a render; this rule catches it at
+// review time.
 var Incpurity = &Analyzer{
 	Name: "incpurity",
-	Doc:  "incremental Update must not mutate prev state nor fold map order into state",
-	Invariant: "Update(prev, ix, newRows) returns prev unchanged or a fresh top-level state; " +
-		"prev and its aliases are never written through, and state never absorbs unsorted map order",
+	Doc:  "incremental Update must not mutate prev or fact state nor fold map order into state",
+	Invariant: "Update(prev, [facts,] ix, newRows) returns prev unchanged or a fresh top-level state; " +
+		"prev, the facts and their aliases are never written through, and state never absorbs unsorted map order",
 	Scope: []string{"core", "report", "mine", "predict"},
 	Run:   runIncpurity,
 }
@@ -37,27 +38,29 @@ func runIncpurity(pass *Pass) {
 			if body == nil {
 				return true
 			}
-			if prev := updatePrevParam(pass.Info, ftype); prev != nil {
-				checkUpdateBody(pass, body, prev)
+			if roots := updateRoots(pass.Info, ftype); len(roots) > 0 {
+				checkUpdateBody(pass, body, roots)
 			}
 			return true
 		})
 	}
 }
 
-// updatePrevParam recognizes the fold-function shape — three parameters
-// and two results with SectionState first in both lists — and returns the
-// object of the prev parameter, or nil.
-func updatePrevParam(info *types.Info, ftype *ast.FuncType) types.Object {
+// updateRoots recognizes the fold-function shape — three parameters
+// (prev, ix, newRows) or four (prev, facts, ix, newRows), and two
+// results, with SectionState first in both lists — and returns the
+// objects of the read-only parameters: prev, and facts when present.
+func updateRoots(info *types.Info, ftype *ast.FuncType) []types.Object {
 	if ftype.Params == nil || ftype.Results == nil {
 		return nil
 	}
-	if countFields(ftype.Params) != 3 || countFields(ftype.Results) != 2 {
+	n := countFields(ftype.Params)
+	if (n != 3 && n != 4) || countFields(ftype.Results) != 2 {
 		return nil
 	}
 	first := ftype.Params.List[0]
 	if len(first.Names) == 0 {
-		return nil // an unnamed prev cannot be mutated
+		return nil // unnamed parameters cannot be written through
 	}
 	if !isSectionState(info.Types[first.Type].Type) {
 		return nil
@@ -65,7 +68,19 @@ func updatePrevParam(info *types.Info, ftype *ast.FuncType) types.Object {
 	if !isSectionState(info.Types[ftype.Results.List[0].Type].Type) {
 		return nil
 	}
-	return info.Defs[first.Names[0]]
+	var names []*ast.Ident
+	for _, f := range ftype.Params.List {
+		names = append(names, f.Names...)
+	}
+	// The read-only parameters lead: prev alone in the three-parameter
+	// shape, prev and facts in the four-parameter one.
+	var roots []types.Object
+	for _, name := range names[:n-2] {
+		if obj := info.Defs[name]; obj != nil && name.Name != "_" {
+			roots = append(roots, obj)
+		}
+	}
+	return roots
 }
 
 func countFields(fl *ast.FieldList) int {
@@ -87,12 +102,17 @@ func isSectionState(t types.Type) bool {
 	return ok && named.Obj().Name() == "SectionState"
 }
 
-func checkUpdateBody(pass *Pass, body *ast.BlockStmt, prev types.Object) {
-	// prev plus every one-hop alias bound by `st := prev` or
-	// `st, ok := prev.(*T)`. The blessed idiom — st.clone() or a fresh
-	// literal, then writes through the clone — introduces a new object on
-	// the right-hand side and stays out of this set.
-	aliases := map[types.Object]bool{prev: true}
+func checkUpdateBody(pass *Pass, body *ast.BlockStmt, roots []types.Object) {
+	// The roots (prev, and facts) plus every alias bound by `st := prev`,
+	// `st, ok := prev.(*T)` or `inst := facts[0].State.(*T)` — a
+	// selector or index chain rooted at an alias. The blessed idiom —
+	// st.clone() or a fresh literal, then writes through the clone —
+	// introduces a new object on the right-hand side and stays out of
+	// this set.
+	aliases := map[types.Object]bool{}
+	for _, r := range roots {
+		aliases[r] = true
+	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		assign, ok := n.(*ast.AssignStmt)
 		if !ok || len(assign.Rhs) != 1 {
@@ -102,8 +122,8 @@ func checkUpdateBody(pass *Pass, body *ast.BlockStmt, prev types.Object) {
 		if ta, ok := rhs.(*ast.TypeAssertExpr); ok {
 			rhs = ta.X
 		}
-		id, ok := rhs.(*ast.Ident)
-		if !ok || !aliases[identObj(pass.Info, id)] {
+		id := chainRoot(rhs)
+		if id == nil || !aliases[identObj(pass.Info, id)] {
 			return true
 		}
 		if lhs, ok := assign.Lhs[0].(*ast.Ident); ok && lhs.Name != "_" {
@@ -119,18 +139,18 @@ func checkUpdateBody(pass *Pass, body *ast.BlockStmt, prev types.Object) {
 		case *ast.AssignStmt:
 			for _, lhs := range stmt.Lhs {
 				if obj, root := writeThroughRoot(pass.Info, lhs, aliases); obj != nil {
-					pass.Reportf(lhs.Pos(), "write through %q mutates prev state shared with rendered snapshots (clone before writing)", root)
+					pass.Reportf(lhs.Pos(), "write through %q mutates prev or fact state shared with rendered snapshots (clone before writing)", root)
 				}
 			}
 		case *ast.IncDecStmt:
 			if obj, root := writeThroughRoot(pass.Info, stmt.X, aliases); obj != nil {
-				pass.Reportf(stmt.Pos(), "write through %q mutates prev state shared with rendered snapshots (clone before writing)", root)
+				pass.Reportf(stmt.Pos(), "write through %q mutates prev or fact state shared with rendered snapshots (clone before writing)", root)
 			}
 		case *ast.CallExpr:
 			if id, ok := stmt.Fun.(*ast.Ident); ok && id.Name == "delete" && len(stmt.Args) > 0 {
 				if b, ok := pass.Info.Uses[id].(*types.Builtin); ok && b.Name() == "delete" {
 					if obj, root := writeThroughRoot(pass.Info, stmt.Args[0], aliases); obj != nil {
-						pass.Reportf(stmt.Pos(), "delete through %q mutates prev state shared with rendered snapshots (clone before writing)", root)
+						pass.Reportf(stmt.Pos(), "delete through %q mutates prev or fact state shared with rendered snapshots (clone before writing)", root)
 					}
 				}
 			}
@@ -139,6 +159,25 @@ func checkUpdateBody(pass *Pass, body *ast.BlockStmt, prev types.Object) {
 		}
 		return true
 	})
+}
+
+// chainRoot returns the identifier a selector, index or paren chain is
+// rooted at, or nil.
+func chainRoot(expr ast.Expr) *ast.Ident {
+	for {
+		switch e := expr.(type) {
+		case *ast.ParenExpr:
+			expr = e.X
+		case *ast.SelectorExpr:
+			expr = e.X
+		case *ast.IndexExpr:
+			expr = e.X
+		case *ast.Ident:
+			return e
+		default:
+			return nil
+		}
+	}
 }
 
 // writeThroughRoot reports a write whose target dereferences an alias of

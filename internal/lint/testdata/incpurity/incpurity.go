@@ -31,11 +31,11 @@ func (st *state) clone() *state {
 // mid-render while these writes land.
 func updateMutatesPrev(prev SectionState, ix *Index, newRows []int32) (SectionState, error) {
 	st, _ := prev.(*state)
-	st.count++              // want "mutates prev state"
-	st.byHost["h1"] = 1     // want "mutates prev state"
-	st.gaps = nil           // want "mutates prev state"
-	delete(st.byHost, "h2") // want "mutates prev state"
-	st.hosts[0] = "rebound" // want "mutates prev state"
+	st.count++              // want "mutates prev or fact state"
+	st.byHost["h1"] = 1     // want "mutates prev or fact state"
+	st.gaps = nil           // want "mutates prev or fact state"
+	delete(st.byHost, "h2") // want "mutates prev or fact state"
+	st.hosts[0] = "rebound" // want "mutates prev or fact state"
 	return st, nil
 }
 
@@ -44,7 +44,7 @@ func updateMutatesPrev(prev SectionState, ix *Index, newRows []int32) (SectionSt
 func updateMutatesParamDirectly(prev SectionState, ix *Index, newRows []int32) (SectionState, error) {
 	alias := prev
 	st := alias.(*state)
-	st.count += len(newRows) // want "mutates prev state"
+	st.count += len(newRows) // want "mutates prev or fact state"
 	return prev, nil
 }
 
@@ -62,6 +62,30 @@ func updateClones(prev SectionState, ix *Index, newRows []int32) (SectionState, 
 	next.byHost["h"] = next.count
 	st = nil
 	_ = st
+	return next, nil
+}
+
+// Fact mirrors the engine's view of a shared fold fact.
+type Fact struct {
+	State   SectionState
+	Changed bool
+}
+
+// updateMutatesFact writes through a shared fact, which every other
+// reader of the fact (and its rendered snapshots) still sees.
+func updateMutatesFact(prev SectionState, facts []Fact, ix *Index, newRows []int32) (SectionState, error) {
+	shared := facts[0].State.(*state)
+	shared.count++          // want "mutates prev or fact state"
+	facts[0].Changed = true // want "mutates prev or fact state"
+	return prev, nil
+}
+
+// updateReadsFact is the blessed four-parameter idiom: read the fact,
+// write only a fresh state.
+func updateReadsFact(prev SectionState, facts []Fact, ix *Index, newRows []int32) (SectionState, error) {
+	shared := facts[0].State.(*state)
+	next := &state{count: shared.count + len(newRows)}
+	next.byHost = map[string]int{"h": shared.byHost["h"]}
 	return next, nil
 }
 

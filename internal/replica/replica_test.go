@@ -452,3 +452,35 @@ func TestServerRejectsAheadSubscriber(t *testing.T) {
 		t.Fatal("error frame without a reason")
 	}
 }
+
+// TestFoldPendingReleasesConsumedRows pins the catch-up memory rule: a
+// fold that consumes every pending row leaves the syncer holding no
+// reference to the old array, and a partial fold keeps only the unfolded
+// rows, in a fresh array, for the next epoch marker.
+func TestFoldPendingReleasesConsumedRows(t *testing.T) {
+	trace, census := smallWorld(t)
+	s := NewSyncer(serve.NewState(census, 0), SyncerOptions{})
+	s.pending = append([]fot.Ticket(nil), trace.Tickets[:100]...)
+	old := s.pending[:cap(s.pending)]
+
+	if err := s.foldPending(60, 1, time.Unix(0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.pending) != 40 || s.pending[0].ID != trace.Tickets[60].ID {
+		t.Fatalf("partial fold kept %d rows starting at id %d, want 40 from id %d",
+			len(s.pending), s.pending[0].ID, trace.Tickets[60].ID)
+	}
+	if p := &s.pending[0]; p == &old[60] || p == &old[0] {
+		t.Fatal("partial fold kept the unfolded rows in the old array")
+	}
+
+	if err := s.foldPending(40, 2, time.Unix(0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if s.pending != nil {
+		t.Fatalf("full fold left pending len %d cap %d, want nil", len(s.pending), cap(s.pending))
+	}
+	if got := s.state.Current().Tickets(); got != 100 {
+		t.Fatalf("folded %d rows, want 100", got)
+	}
+}

@@ -231,6 +231,23 @@ func (s *Syncer) run() {
 	}
 }
 
+// foldPending folds the first take pending rows as epoch and keeps only
+// the rest, in a fresh array. The State copies folded rows into its own
+// log, so the consumed prefix is garbage — but a reslice would keep a
+// catch-up's whole backing array (tens of MB at paper scale) alive, and
+// scanned by every GC cycle, until later appends outgrow its capacity.
+func (s *Syncer) foldPending(take int, epoch uint64, foldedAt time.Time) error {
+	if _, err := s.state.FoldTo(s.pending[:take], epoch, foldedAt); err != nil {
+		return err
+	}
+	rest := s.pending[take:]
+	s.pending = nil
+	if len(rest) > 0 {
+		s.pending = append([]fot.Ticket(nil), rest...)
+	}
+	return nil
+}
+
 // stream runs one connection: subscribe from the resume position (the
 // fold boundary plus any retained pending rows), read the JSON hello
 // that carries the codec pick, then apply rows and markers — binary
@@ -318,10 +335,9 @@ func (s *Syncer) stream(conn net.Conn) (progressed bool, err error) {
 		if take < 0 {
 			return fmt.Errorf("replica: epoch %d rows %d behind local log %d", epoch, rows, folded)
 		}
-		if _, err := s.state.FoldTo(s.pending[:take], epoch, foldedAt); err != nil {
+		if err := s.foldPending(take, epoch, foldedAt); err != nil {
 			return err
 		}
-		s.pending = s.pending[take:]
 		folded = rows
 		s.folds.Add(1)
 		progressed = true

@@ -16,25 +16,28 @@ type mineSectionState struct {
 }
 
 // StandardIncrementalSections returns the delta path of every standard
-// section, in print order, with IDs matching StandardSections. Sections
-// sharing an analysis (fig3/fig4 temporal counts, table4/fig8 rack maps)
-// fold duplicate states; their renders stay consistent because the
-// expensive ones share the index's per-epoch memo slots.
+// section, in print order, with IDs matching StandardSections. Analyses
+// several sections share are fold facts, folded once per engine: the
+// temporal counts (fig3, fig4, verdicts), the all-class TBF scope (fig5,
+// verdicts), the rack map (table4, fig8, verdicts) and the instances
+// table the rack map, fig6, table6 and repeats dedup by.
 func StandardIncrementalSections(census *core.Census) []core.IncrementalSection {
 	rc := core.NewRackCensus(census)
+	temporal, tbf, inst := core.TemporalFact(), core.TBFFact(), core.InstancesFact()
+	rack := core.RackFact(rc, inst)
 	rulesUpdate := mine.RulesUpdater(24 * time.Hour)
 	predUpdate := mine.PredictorUpdater(10 * 24 * time.Hour)
 	return []core.IncrementalSection{
-		{ID: "verdicts", Update: core.HypothesesUpdater(rc),
-			RenderState: func(state core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
-				r, err := core.HypothesesFromState(state, ix, rc)
+		{ID: "verdicts", Facts: []*core.FoldFact{temporal, tbf, rack}, Update: core.TBFUpdater(fot.HDD),
+			RenderState: func(state core.SectionState, facts []core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
+				r, err := core.HypothesesFromState(facts[0], facts[1], state, facts[2], ix, rc)
 				if err != nil {
 					return err
 				}
 				return Hypotheses(w, r)
 			}},
 		{ID: "table1", Update: core.UpdateCategoryBreakdown,
-			RenderState: func(state core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
+			RenderState: func(state core.SectionState, _ []core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
 				r, err := core.CategoryBreakdownFromState(state, ix)
 				if err != nil {
 					return err
@@ -42,7 +45,7 @@ func StandardIncrementalSections(census *core.Census) []core.IncrementalSection 
 				return CategoryBreakdown(w, r)
 			}},
 		{ID: "table2", Update: core.UpdateComponentBreakdown,
-			RenderState: func(state core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
+			RenderState: func(state core.SectionState, _ []core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
 				r, err := core.ComponentBreakdownFromState(state, ix)
 				if err != nil {
 					return err
@@ -50,7 +53,7 @@ func StandardIncrementalSections(census *core.Census) []core.IncrementalSection 
 				return ComponentBreakdown(w, r)
 			}},
 		{ID: "fig2", Update: core.UpdateTypeBreakdown,
-			RenderState: func(state core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
+			RenderState: func(state core.SectionState, _ []core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
 				for _, c := range []fot.Component{fot.HDD, fot.RAIDCard, fot.FlashCard, fot.Memory} {
 					r, err := core.TypeBreakdownFromState(state, ix, c)
 					if err != nil {
@@ -62,18 +65,18 @@ func StandardIncrementalSections(census *core.Census) []core.IncrementalSection 
 				}
 				return nil
 			}},
-		{ID: "fig3", Update: core.UpdateTemporal,
-			RenderState: func(state core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
-				r, err := core.DayOfWeekFromState(state, ix, 0)
+		{ID: "fig3", Facts: []*core.FoldFact{temporal},
+			RenderState: func(_ core.SectionState, facts []core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
+				r, err := core.DayOfWeekFromState(facts[0], ix, 0)
 				if err != nil {
 					return err
 				}
 				return DayOfWeek(w, r)
 			}},
-		{ID: "fig4", Update: core.UpdateTemporal,
-			RenderState: func(state core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
+		{ID: "fig4", Facts: []*core.FoldFact{temporal},
+			RenderState: func(_ core.SectionState, facts []core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
 				for _, c := range []fot.Component{fot.HDD, fot.Misc} {
-					r, err := core.HourOfDayFromState(state, ix, c)
+					r, err := core.HourOfDayFromState(facts[0], ix, c)
 					if err != nil {
 						return err
 					}
@@ -83,16 +86,16 @@ func StandardIncrementalSections(census *core.Census) []core.IncrementalSection 
 				}
 				return nil
 			}},
-		{ID: "fig5", Update: core.TBFUpdater(0),
-			RenderState: func(state core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
-				r, err := core.TBFFromState(state, ix, 0)
+		{ID: "fig5", Facts: []*core.FoldFact{tbf},
+			RenderState: func(_ core.SectionState, facts []core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
+				r, err := core.TBFFromState(facts[0], ix, 0)
 				if err != nil {
 					return err
 				}
 				return TBF(w, r)
 			}},
-		{ID: "fig6", Update: core.UpdateLifecycle,
-			RenderState: func(state core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
+		{ID: "fig6", Facts: []*core.FoldFact{inst}, Update: core.UpdateLifecycle,
+			RenderState: func(state core.SectionState, _ []core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
 				for _, c := range []fot.Component{fot.HDD, fot.Memory, fot.RAIDCard, fot.FlashCard, fot.Misc} {
 					r, err := core.LifecycleFromState(state, ix, census, c, 48)
 					if err != nil {
@@ -105,33 +108,33 @@ func StandardIncrementalSections(census *core.Census) []core.IncrementalSection 
 				return nil
 			}},
 		{ID: "fig7", Update: core.UpdateServerSkew,
-			RenderState: func(state core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
+			RenderState: func(state core.SectionState, _ []core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
 				r, err := core.ServerSkewFromState(state, ix)
 				if err != nil {
 					return err
 				}
 				return ServerSkew(w, r)
 			}},
-		{ID: "repeats", Update: core.UpdateRepeats,
-			RenderState: func(state core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
-				r, err := core.RepeatsFromState(state, ix)
+		{ID: "repeats", Facts: []*core.FoldFact{inst}, Update: core.UpdateRepeats,
+			RenderState: func(state core.SectionState, facts []core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
+				r, err := core.RepeatsFromState(state, facts[0], ix)
 				if err != nil {
 					return err
 				}
 				return Repeats(w, r)
 			}},
-		{ID: "table4", Update: core.RackUpdater(rc),
-			RenderState: func(state core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
-				r, err := core.RackAnalysisFromState(state, ix, rc)
+		{ID: "table4", Facts: []*core.FoldFact{rack},
+			RenderState: func(_ core.SectionState, facts []core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
+				r, err := core.RackAnalysisFromState(facts[0], ix, rc)
 				if err != nil {
 					return err
 				}
 				return RackAnalysis(w, r)
 			}},
-		{ID: "fig8", Update: core.RackUpdater(rc),
-			RenderState: func(state core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
+		{ID: "fig8", Facts: []*core.FoldFact{rack},
+			RenderState: func(_ core.SectionState, facts []core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
 				for _, idc := range []string{"dc01", "dc02"} {
-					r, err := core.RackPositionsFromState(state, ix, rc, idc)
+					r, err := core.RackPositionsFromState(facts[0], ix, rc, idc)
 					if err != nil {
 						return err
 					}
@@ -142,7 +145,7 @@ func StandardIncrementalSections(census *core.Census) []core.IncrementalSection 
 				return nil
 			}},
 		{ID: "table5", Update: core.BatchFrequencyUpdater(nil),
-			RenderState: func(state core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
+			RenderState: func(state core.SectionState, _ []core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
 				r, err := core.BatchFrequencyFromState(state, ix)
 				if err != nil {
 					return err
@@ -150,15 +153,15 @@ func StandardIncrementalSections(census *core.Census) []core.IncrementalSection 
 				return BatchFrequency(w, r)
 			}},
 		{ID: "batches", Update: core.BatchWindowsUpdater(census, 30*time.Minute, 20),
-			RenderState: func(state core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
+			RenderState: func(state core.SectionState, _ []core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
 				eps, err := core.BatchWindowsFromState(state, ix, census, 30*time.Minute, 20)
 				if err != nil {
 					return err
 				}
 				return BatchEpisodes(w, eps, 10)
 			}},
-		{ID: "table6", Update: core.CorrelatedPairsUpdater(24 * time.Hour),
-			RenderState: func(state core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
+		{ID: "table6", Facts: []*core.FoldFact{inst}, Update: core.CorrelatedPairsUpdater(24 * time.Hour),
+			RenderState: func(state core.SectionState, _ []core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
 				r, err := core.CorrelatedPairsFromState(state, ix, 24*time.Hour)
 				if err != nil {
 					return err
@@ -166,7 +169,7 @@ func StandardIncrementalSections(census *core.Census) []core.IncrementalSection 
 				return CorrelatedPairs(w, r)
 			}},
 		{ID: "table8", Update: core.SyncRepeatUpdater(2 * time.Minute),
-			RenderState: func(state core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
+			RenderState: func(state core.SectionState, _ []core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
 				groups, err := core.SyncRepeatGroupsFromState(state, ix, 2*time.Minute, 3)
 				if err != nil {
 					return err
@@ -174,7 +177,7 @@ func StandardIncrementalSections(census *core.Census) []core.IncrementalSection 
 				return SyncRepeatGroups(w, groups, 10)
 			}},
 		{ID: "fig9", Update: core.UpdateResponseTimes,
-			RenderState: func(state core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
+			RenderState: func(state core.SectionState, _ []core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
 				for _, cat := range []fot.Category{fot.Fixing, fot.FalseAlarm} {
 					r, err := core.ResponseTimesFromState(state, ix, cat)
 					if err != nil {
@@ -187,7 +190,7 @@ func StandardIncrementalSections(census *core.Census) []core.IncrementalSection 
 				return nil
 			}},
 		{ID: "fig10", Update: core.UpdateResponseTimesByClass,
-			RenderState: func(state core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
+			RenderState: func(state core.SectionState, _ []core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
 				r, err := core.ResponseTimesByClassFromState(state, ix)
 				if err != nil {
 					return err
@@ -195,7 +198,7 @@ func StandardIncrementalSections(census *core.Census) []core.IncrementalSection 
 				return ResponseTimesByClass(w, r)
 			}},
 		{ID: "fig11", Update: core.LineRTUpdater(fot.HDD),
-			RenderState: func(state core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
+			RenderState: func(state core.SectionState, _ []core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
 				r, err := core.ProductLineRTFromState(state, ix, fot.HDD)
 				if err != nil {
 					return err
@@ -203,14 +206,14 @@ func StandardIncrementalSections(census *core.Census) []core.IncrementalSection 
 				return ProductLineRT(w, r, 15)
 			}},
 		{ID: "trend", Update: core.UpdateTrend,
-			RenderState: func(state core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
+			RenderState: func(state core.SectionState, _ []core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
 				r, err := core.TrendFromState(state, ix)
 				if err != nil {
 					return err
 				}
 				return Trend(w, r)
 			}},
-		{ID: "mine", Update: func(prev core.SectionState, ix *fot.TraceIndex, newRows []int32) (core.SectionState, error) {
+		{ID: "mine", Update: func(prev core.SectionState, _ []core.Fact, ix *fot.TraceIndex, newRows []int32) (core.SectionState, error) {
 			st, _ := prev.(*mineSectionState)
 			var pr, pp any
 			if st != nil {
@@ -229,7 +232,7 @@ func StandardIncrementalSections(census *core.Census) []core.IncrementalSection 
 			}
 			return &mineSectionState{rules: nr, pred: np}, nil
 		},
-			RenderState: func(state core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
+			RenderState: func(state core.SectionState, _ []core.SectionState, ix *fot.TraceIndex, w io.Writer) error {
 				// nil only on an empty index; the sub-renders guard on ix.
 				st, _ := state.(*mineSectionState)
 				if st == nil {

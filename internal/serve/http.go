@@ -170,7 +170,7 @@ func (d *Daemon) handleStats(w http.ResponseWriter, _ *http.Request) {
 // report.SerialReference prints for the same tickets: every section is
 // rendered from the single snapshot grabbed at entry, so a response
 // during active ingestion is still one self-consistent epoch (headers
-// X-Epoch and X-Tickets say which).
+// X-Epoch and X-Tickets say which, on errors as well).
 func (d *Daemon) handleReport(w http.ResponseWriter, r *http.Request) {
 	ids := d.state.SectionIDs()
 	if raw := r.URL.Query().Get("sections"); raw != "" {
@@ -201,6 +201,9 @@ func (d *Daemon) handleReport(w http.ResponseWriter, r *http.Request) {
 		ids = sel
 	}
 	snap := d.state.Current()
+	// Errors carry the snapshot headers too: a failed report is still the
+	// answer for one definite ticket prefix.
+	writeSnapshotHeaders(w, snap)
 	results, err := d.state.RenderSections(snap, ids)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -212,7 +215,6 @@ func (d *Daemon) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeSnapshotHeaders(w, snap)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	bundle.WriteTo(w)
 }

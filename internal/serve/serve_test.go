@@ -118,7 +118,9 @@ func TestReportByteIdenticalToSerialReference(t *testing.T) {
 // TestMidIngestReportIsSelfConsistent is the live golden: a /report
 // issued while tickets are still flowing must equal SerialReference over
 // exactly the ticket prefix its X-Tickets header claims — every section
-// computed from the same count.
+// computed from the same count. A report that fails (an empty or tiny
+// prefix has sections with too little data) must fail with the
+// reference's error over that same prefix.
 func TestMidIngestReportIsSelfConsistent(t *testing.T) {
 	trace, census := smallWorld(t)
 	d := New(Options{Census: census, FoldInterval: time.Millisecond, FoldBatch: 64})
@@ -127,30 +129,46 @@ func TestMidIngestReportIsSelfConsistent(t *testing.T) {
 	d.StartIngest(FromTrace(trace, 97)) // slow drip: many epochs
 
 	type sample struct {
-		n    int
-		body []byte
+		n      int
+		status int
+		body   []byte
 	}
 	var samples []sample
-	for len(samples) < 3 && !d.Drained() {
+	ok := 0
+	for ok < 3 && !d.Drained() {
 		resp, body := get(t, srv, "/report")
 		n, err := strconv.Atoi(resp.Header.Get("X-Tickets"))
 		if err != nil {
-			t.Fatalf("bad X-Tickets header: %v", err)
+			t.Fatalf("status %d: bad X-Tickets header: %v", resp.StatusCode, err)
 		}
-		if resp.StatusCode == http.StatusOK && n > 0 && n < trace.Len() {
-			samples = append(samples, sample{n: n, body: body})
+		switch {
+		case resp.StatusCode != http.StatusOK:
+			samples = append(samples, sample{n, resp.StatusCode, body})
+		case n > 0 && n < trace.Len():
+			samples = append(samples, sample{n, resp.StatusCode, body})
+			ok++
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	waitDrained(t, d)
-	if len(samples) == 0 {
+	if ok == 0 {
 		t.Skip("ingest finished before any mid-flight sample; timing too coarse on this machine")
 	}
 	for _, s := range samples {
 		prefix := fot.NewTrace(trace.Tickets[:s.n])
 		var want bytes.Buffer
-		if err := report.SerialReference(&want, prefix, census, nil); err != nil {
-			t.Fatalf("serial reference over %d-ticket prefix: %v", s.n, err)
+		refErr := report.SerialReference(&want, prefix, census, nil)
+		if s.status != http.StatusOK {
+			if refErr == nil {
+				t.Fatalf("report at %d tickets failed with %d %q, but the serial reference over that prefix succeeds", s.n, s.status, s.body)
+			}
+			if got, want := string(s.body), refErr.Error()+"\n"; s.status != http.StatusInternalServerError || got != want {
+				t.Fatalf("report at %d tickets: status %d body %q, want 500 %q", s.n, s.status, got, want)
+			}
+			continue
+		}
+		if refErr != nil {
+			t.Fatalf("serial reference over %d-ticket prefix: %v", s.n, refErr)
 		}
 		if !bytes.Equal(s.body, want.Bytes()) {
 			t.Fatalf("mid-ingest report at %d tickets is not the serial reference over that prefix", s.n)
