@@ -96,7 +96,7 @@ func run(args []string, w io.Writer) error {
 	pollInterval := fs.Duration("poll-interval", 500*time.Millisecond, "archive re-poll interval while idle")
 	foldInterval := fs.Duration("fold-interval", 200*time.Millisecond, "max delay before pending tickets fold into a new epoch")
 	foldBatch := fs.Int("fold-batch", 8192, "fold early once this many tickets are pending")
-	workers := fs.Int("workers", 0, "parallel section workers; 0 = one per CPU")
+	workers := fs.Int("workers", 0, "parallel fold and render workers per fold or request; 0 = one per CPU")
 	maxConcurrent := fs.Int("max-concurrent", 64, "max in-flight HTTP requests")
 	reqTimeout := fs.Duration("timeout", 30*time.Second, "per-request timeout")
 	alertWindow := fs.Duration("alert-window", 3*time.Hour, "batch alert sliding window")

@@ -31,9 +31,10 @@ type UpdateFunc func(prev SectionState, facts []Fact, ix *fot.TraceIndex, newRow
 
 // FoldFact is fold state shared by several sections: an ID and an Update
 // with no render. The engine folds each fact exactly once per Advance,
-// before any section, and passes its state to every section (and later
-// fact) that declares it. Facts are identified by pointer, so one
-// *FoldFact declared by several sections is one shared state.
+// before any section that reads it, and passes its state to every
+// section (and later fact) that declares it. Facts are identified by
+// pointer, so one *FoldFact declared by several sections is one shared
+// state.
 type FoldFact struct {
 	ID     string
 	Facts  []*FoldFact // facts this fact's Update reads
@@ -52,7 +53,9 @@ type FoldFact struct {
 //     appended row range, pre-sorted by the global (time, id) order, and
 //     must not be retained or mutated. A nil Update means the section
 //     renders from its facts alone and carries no state of its own.
-//   - Update must not write through prev or through any fact. It either
+//   - Updates of different sections and of independent facts run
+//     concurrently, so Update must not write through prev or through
+//     any fact, nor touch state shared with another Update. It either
 //     returns prev itself (identity signals "no output-relevant change")
 //     or a freshly allocated top-level state. The fresh state may absorb
 //     prev's containers — ownership hand-off: once Update returns, the
@@ -83,7 +86,8 @@ type IncrementalEngineStats struct {
 
 // IncrementalEngine carries every fact's and section's fold state across
 // epochs. Advance (one caller at a time, the fold path) consumes appended
-// row ranges; TryRender serves section renders from state under a read
+// row ranges, folding facts and sections across a worker pool (see
+// SetWorkers); TryRender serves section renders from state under a read
 // lock, so renders of the current epoch never race the next fold's Update.
 //
 // The engine assumes rows are appended in global (time, id) order — the
@@ -104,6 +108,12 @@ type IncrementalEngine struct {
 	byID     map[string]int
 	states   []SectionState
 	broken   []bool
+
+	// pool folds facts and sections concurrently; taskDeps is its task
+	// graph: tasks [0, len(facts)) are the facts, the rest the sections,
+	// each waiting on the facts it reads.
+	pool     Pool
+	taskDeps [][]int
 
 	epoch    uint64
 	rows     int
@@ -146,7 +156,16 @@ func NewIncrementalEngine(sections []IncrementalSection) *IncrementalEngine {
 	}
 	e.factStates = make([]SectionState, len(e.facts))
 	e.factBroken = make([]bool, len(e.facts))
+	e.taskDeps = append(append(e.taskDeps, e.factDeps...), e.secDeps...)
 	return e
+}
+
+// SetWorkers caps how many facts and sections fold at once; <= 0 means
+// one per CPU, the default. Output does not depend on it.
+func (e *IncrementalEngine) SetWorkers(n int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.pool.Workers = n
 }
 
 // Advance folds the rows appended since the previous call — rows
@@ -211,54 +230,73 @@ func (e *IncrementalEngine) Advance(ix *fot.TraceIndex, epoch uint64) map[string
 	return changed
 }
 
-// foldLocked folds rows into every fact, once each and in dependency
-// order, then into every live section.
+// foldLocked folds rows into every fact, once each, and into every live
+// section. Each fact and each section is one task on the engine's pool,
+// started as soon as the facts it declares have folded, so sections
+// that read no fact fold from the outset. Tasks write only their own
+// slots; changed is assembled in section order after the join, so the
+// result does not depend on completion order.
 func (e *IncrementalEngine) foldLocked(ix *fot.TraceIndex, rows []int32, changed map[string]bool) {
-	views := make([]Fact, len(e.facts))
-	for i, f := range e.facts {
-		in, ok := e.gather(views, e.factDeps[i])
-		if !ok || e.factBroken[i] {
-			e.factStates[i], e.factBroken[i] = nil, true
-			continue
+	nf := len(e.facts)
+	views := make([]Fact, nf)
+	moved := make([]bool, len(e.sections))
+	e.pool.Run(nf+len(e.sections), e.taskDeps, func(t int) {
+		if t < nf {
+			e.foldFact(t, views, ix, rows)
+		} else {
+			moved[t-nf] = e.foldSection(t-nf, views, ix, rows)
 		}
-		next, err := f.Update(e.factStates[i], in, ix, rows)
-		if err != nil {
-			e.factStates[i], e.factBroken[i] = nil, true
-			continue
-		}
-		views[i] = Fact{State: next, Changed: next != e.factStates[i]}
-		e.factStates[i] = next
-	}
+	})
 	for i, sec := range e.sections {
-		if e.broken[i] {
-			// Full-fallback sections re-render from the new index.
-			changed[sec.ID] = true
-			continue
-		}
-		in, ok := e.gather(views, e.secDeps[i])
-		if !ok {
-			e.states[i], e.broken[i] = nil, true
-			changed[sec.ID] = true
-			continue
-		}
-		moved := false
-		for _, f := range in {
-			moved = moved || f.Changed
-		}
-		if sec.Update != nil {
-			next, err := sec.Update(e.states[i], in, ix, rows)
-			if err != nil {
-				e.states[i], e.broken[i] = nil, true
-				changed[sec.ID] = true
-				continue
-			}
-			moved = moved || next != e.states[i]
-			e.states[i] = next
-		}
-		if moved {
+		if moved[i] {
 			changed[sec.ID] = true
 		}
 	}
+}
+
+// foldFact folds fact i, whose own facts have already folded into views.
+func (e *IncrementalEngine) foldFact(i int, views []Fact, ix *fot.TraceIndex, rows []int32) {
+	in, ok := e.gather(views, e.factDeps[i])
+	if !ok || e.factBroken[i] {
+		e.factStates[i], e.factBroken[i] = nil, true
+		return
+	}
+	next, err := e.facts[i].Update(e.factStates[i], in, ix, rows)
+	if err != nil {
+		e.factStates[i], e.factBroken[i] = nil, true
+		return
+	}
+	views[i] = Fact{State: next, Changed: next != e.factStates[i]}
+	e.factStates[i] = next
+}
+
+// foldSection folds section i over the folded facts in views and
+// reports whether its output may have changed. A section that is or
+// becomes broken always counts as changed: it re-renders by the full
+// path from the new index.
+func (e *IncrementalEngine) foldSection(i int, views []Fact, ix *fot.TraceIndex, rows []int32) bool {
+	if e.broken[i] {
+		return true
+	}
+	in, ok := e.gather(views, e.secDeps[i])
+	if !ok {
+		e.states[i], e.broken[i] = nil, true
+		return true
+	}
+	moved := false
+	for _, f := range in {
+		moved = moved || f.Changed
+	}
+	if update := e.sections[i].Update; update != nil {
+		next, err := update(e.states[i], in, ix, rows)
+		if err != nil {
+			e.states[i], e.broken[i] = nil, true
+			return true
+		}
+		moved = moved || next != e.states[i]
+		e.states[i] = next
+	}
+	return moved
 }
 
 // gather picks the facts at deps out of the current fold's views,

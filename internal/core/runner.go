@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 
 	"dcfail/internal/fot"
 )
@@ -82,34 +80,11 @@ type Runner struct {
 // bundle. Each section renders into its own buffer, so concurrent
 // sections never interleave output; result order is submission order.
 func (r Runner) RunAll(ix *fot.TraceIndex, sections []Section) *ReportBundle {
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(sections) {
-		workers = len(sections)
-	}
 	results := make([]SectionResult, len(sections))
-	if workers <= 0 {
-		return &ReportBundle{Sections: results}
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				var buf bytes.Buffer
-				err := sections[idx].Render(ix, &buf)
-				results[idx] = SectionResult{ID: sections[idx].ID, Text: buf.Bytes(), Err: err}
-			}
-		}()
-	}
-	for i := range sections {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	Pool{Workers: r.Workers}.Run(len(sections), nil, func(i int) {
+		var buf bytes.Buffer
+		err := sections[i].Render(ix, &buf)
+		results[i] = SectionResult{ID: sections[i].ID, Text: buf.Bytes(), Err: err}
+	})
 	return &ReportBundle{Sections: results}
 }

@@ -42,6 +42,17 @@ type Columns struct {
 	SlotSym  []uint32 // component instance within the server
 	RTNS     []int64  // ResponseTime() in ns; -1 when none
 	AgeNS    []int64  // AgeAtFailure() in ns; -1 when unknown
+	// HostSym is the host id as a dense symbol below HostCount, so
+	// per-host state can live in arrays indexed by it.
+	HostSym []uint32
+
+	// hosts interns host ids for HostSym. Unlike the string tables it is
+	// never copied: every extension appends to its prefix's table in
+	// place (extend claims the prefix exclusively), and nothing looks a
+	// host up after the build, so a prefix's readers never see the
+	// appends. hostCount is this Columns' own share of it.
+	hosts     map[uint64]uint32
+	hostCount int
 
 	idcs  *symtab
 	lines *symtab
@@ -101,6 +112,9 @@ func (c *Columns) LineCount() int { return len(c.lines.strs) }
 
 // TypeCount returns the number of distinct error-type symbols.
 func (c *Columns) TypeCount() int { return len(c.types.strs) }
+
+// HostCount returns the number of distinct host symbols.
+func (c *Columns) HostCount() int { return c.hostCount }
 
 // symtab interns strings to dense uint32 symbols in first-seen order.
 type symtab struct {
@@ -175,6 +189,8 @@ func buildColumns(tickets []Ticket) *Columns {
 		SlotSym:  make([]uint32, n),
 		RTNS:     make([]int64, n),
 		AgeNS:    make([]int64, n),
+		HostSym:  make([]uint32, n),
+		hosts:    make(map[uint64]uint32),
 		idcs:     newSymtab(),
 		lines:    newSymtab(),
 		types:    newSymtab(),
@@ -183,6 +199,7 @@ func buildColumns(tickets []Ticket) *Columns {
 	for i := range tickets {
 		fillRow(c, i, &tickets[i], c.idcs.intern, c.lines.intern, c.types.intern, c.slots.intern)
 	}
+	c.hostCount = len(c.hosts)
 	return c
 }
 
@@ -216,6 +233,8 @@ func extend(prev *Columns, tickets []Ticket) *Columns {
 		SlotSym:   append(prev.SlotSym, make([]uint32, k)...),
 		RTNS:      append(prev.RTNS, make([]int64, k)...),
 		AgeNS:     append(prev.AgeNS, make([]int64, k)...),
+		HostSym:   append(prev.HostSym, make([]uint32, k)...),
+		hosts:     prev.hosts,
 		parent:    prev,
 		parentLen: pn,
 	}
@@ -227,6 +246,7 @@ func extend(prev *Columns, tickets []Ticket) *Columns {
 		fillRow(c, i, &tickets[i], idcs.intern, lines.intern, types.intern, slots.intern)
 	}
 	c.idcs, c.lines, c.types, c.slots = idcs.tab, lines.tab, types.tab, slots.tab
+	c.hostCount = len(c.hosts)
 	return c
 }
 
@@ -244,6 +264,12 @@ func fillRow(c *Columns, i int, tk *Ticket, idc, line, typ, slot func(string) ui
 	c.LineSym[i] = line(tk.ProductLine)
 	c.TypeSym[i] = typ(tk.Type)
 	c.SlotSym[i] = slot(tk.Slot)
+	h, ok := c.hosts[tk.HostID]
+	if !ok {
+		h = uint32(len(c.hosts))
+		c.hosts[tk.HostID] = h
+	}
+	c.HostSym[i] = h
 	if rt, ok := tk.ResponseTime(); ok {
 		c.RTNS[i] = int64(rt)
 	} else {

@@ -76,6 +76,21 @@ func requireSameViews(t *testing.T, got, want *TraceIndex) {
 			t.Fatalf("row %d interned strings diverge", r)
 		}
 	}
+	// Host symbols follow first-seen row order, so every build of the
+	// same rows assigns the same ones.
+	if gc.HostCount() != wc.HostCount() || !slices.Equal(gc.HostSym, wc.HostSym) {
+		t.Fatalf("host symbols diverge: %d hosts %v, want %d hosts %v", gc.HostCount(), gc.HostSym, wc.HostCount(), wc.HostSym)
+	}
+	syms := map[uint64]uint32{}
+	for r, h := range gc.Host {
+		if s, ok := syms[h]; ok && s != gc.HostSym[r] || int(gc.HostSym[r]) >= gc.HostCount() {
+			t.Fatalf("row %d: host %d has symbol %d (earlier %d, %d hosts)", r, h, gc.HostSym[r], s, gc.HostCount())
+		}
+		syms[h] = gc.HostSym[r]
+	}
+	if len(syms) != gc.HostCount() {
+		t.Fatalf("%d distinct hosts, HostCount %d", len(syms), gc.HostCount())
+	}
 }
 
 func TestExtendTraceIndexMatchesFreshBuild(t *testing.T) {
@@ -89,9 +104,9 @@ func TestExtendTraceIndexMatchesFreshBuild(t *testing.T) {
 
 	// The prefix index must keep serving its own (shorter) views after
 	// donating its decomposition.
-	if prev.Len() != 30 || len(prev.TimePerm()) != 30 {
-		t.Errorf("prefix index changed shape after extension: len %d, perm %d",
-			prev.Len(), len(prev.TimePerm()))
+	if prev.Len() != 30 || len(prev.TimePerm()) != 30 || prev.Cols().HostCount() != 30 {
+		t.Errorf("prefix index changed shape after extension: len %d, perm %d, hosts %d",
+			prev.Len(), len(prev.TimePerm()), prev.Cols().HostCount())
 	}
 }
 

@@ -88,6 +88,7 @@ func TestScope(t *testing.T) {
 		{"epochpub", "dcfail/internal/core", false},
 		{"goroleak", "dcfail/internal/router", true},
 		{"goroleak", "dcfail/internal/fmsnet", true},
+		{"goroleak", "dcfail/internal/core", true},
 		{"goroleak", "dcfail/internal/report", false},
 		{"errdrop", "dcfail/internal/wal", true},
 		{"errdrop", "dcfail/internal/archive", true},

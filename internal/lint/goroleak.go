@@ -42,7 +42,7 @@ var GoroLeak = &Analyzer{
 	Doc:  "goroutines in long-lived packages must have a stop path (done channel, context, or WaitGroup join)",
 	Invariant: "every unconditional loop in a spawned goroutine can observe a stop signal, " +
 		"or the spawn is WaitGroup-joined so Close/Stop owns its lifetime",
-	Scope: []string{"serve", "replica", "router", "fmsnet", "archive", "wal", "predict"},
+	Scope: []string{"serve", "replica", "router", "fmsnet", "archive", "wal", "predict", "core"},
 	Run:   runGoroLeak,
 }
 

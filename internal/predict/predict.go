@@ -71,7 +71,8 @@ type kindWin struct {
 // containers (ownership hand-off; the engine never touches the old
 // top-level value again).
 type featureState struct {
-	hostIdx map[uint64]int32 // host id -> dense index
+	bySym   []int32          // fot.Columns.HostSym -> dense index + 1; 0 = untracked
+	hostIdx map[uint64]int32 // host id -> dense index, for lookups by id
 	hosts   []uint64         // dense index -> host id
 
 	warnCnt  []int32   // lifetime eligible warnings
@@ -97,13 +98,18 @@ func newFeatureState() *featureState {
 	}
 }
 
-// hostFor returns the dense index of host, growing every per-host column
-// on first sight.
-func (st *featureState) hostFor(host uint64) int32 {
-	if hi, ok := st.hostIdx[host]; ok {
-		return hi
+// hostFor returns the dense index of the host with symbol sym and id
+// host, growing every per-host column on first sight. The fold path
+// indexes bySym by the index's host column; hostIdx is written only for
+// new hosts.
+func (st *featureState) hostFor(sym uint32, host uint64) int32 {
+	if int(sym) >= len(st.bySym) {
+		st.bySym = append(st.bySym, make([]int32, int(sym)+1-len(st.bySym))...)
+	} else if hi := st.bySym[sym]; hi > 0 {
+		return hi - 1
 	}
 	hi := int32(len(st.hosts))
+	st.bySym[sym] = hi + 1
 	st.hostIdx[host] = hi
 	st.hosts = append(st.hosts, host)
 	st.warnCnt = append(st.warnCnt, 0)
@@ -157,7 +163,7 @@ func stateUpdater(batchWindowNS int64, batchThreshold int) func(core.SectionStat
 				}
 			}
 			t := cols.TimeNS[r]
-			hi := next.hostFor(cols.Host[r])
+			hi := next.hostFor(cols.HostSym[r], cols.Host[r])
 
 			// Population + class mix, classified exactly like the batch path.
 			code := uint64(cols.Device[r])<<32 | uint64(cols.TypeSym[r])

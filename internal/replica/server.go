@@ -20,7 +20,7 @@ type ServerOptions struct {
 	// KindHello, so replicas can tell a quiet primary from a black-holed
 	// link by read deadline (default 1s).
 	Heartbeat time.Duration
-	// WriteTimeout bounds each frame write; a replica that stops reading
+	// WriteTimeout bounds each socket write; a replica that stops reading
 	// is severed instead of wedging the stream goroutine (default 10s).
 	WriteTimeout time.Duration
 	// Now stamps write deadlines (nil means time.Now), injectable for
@@ -30,6 +30,24 @@ type ServerOptions struct {
 	// wire.CodecBinV1 are still served, but as NL-JSON. Used to exercise
 	// the fallback path and to mimic old primaries.
 	DisableBinary bool
+}
+
+// streamBufBytes sizes a stream's write buffer: the unit of one socket
+// write during catch-up.
+const streamBufBytes = 64 << 10
+
+// deadlineWriter refreshes the connection's write deadline before every
+// socket write, so WriteTimeout bounds each write however many frames a
+// buffered stream batches into it.
+type deadlineWriter struct {
+	conn    net.Conn
+	now     func() time.Time
+	timeout time.Duration
+}
+
+func (d *deadlineWriter) Write(p []byte) (int, error) {
+	d.conn.SetWriteDeadline(d.now().Add(d.timeout))
+	return d.conn.Write(p)
 }
 
 // Server publishes a serve.State's ticket log and epoch markers to any
@@ -134,18 +152,22 @@ func (s *Server) stream(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 
-	w := bufio.NewWriter(conn)
-	send := func(m *Message) bool {
-		line, err := encode(m)
-		if err != nil {
-			return false
-		}
-		conn.SetWriteDeadline(s.now().Add(s.opts.WriteTimeout))
-		if _, err := w.Write(line); err != nil {
-			return false
-		}
-		return w.Flush() == nil
+	// One buffered writer for the stream: a fold batch's rows go out in
+	// as few socket writes as the buffer allows, flushed once per batch
+	// and at every epoch marker, hello and error. Each socket write
+	// refreshes the write deadline, so a replica that stops reading is
+	// still severed within WriteTimeout.
+	w := bufio.NewWriterSize(&deadlineWriter{conn: conn, now: s.now, timeout: s.opts.WriteTimeout}, streamBufBytes)
+	queue := func(b []byte) bool {
+		_, err := w.Write(b)
+		return err == nil
 	}
+	flush := func() bool { return w.Flush() == nil }
+	queueMsg := func(m *Message) bool {
+		line, err := encode(m)
+		return err == nil && queue(line)
+	}
+	send := func(m *Message) bool { return queueMsg(m) && flush() }
 
 	// The one request: the replica's resume position.
 	sc := bufio.NewScanner(conn)
@@ -187,24 +209,19 @@ func (s *Server) stream(conn net.Conn) {
 	if binary {
 		enc = wire.NewEncoder()
 	}
-	sendBin := func(b []byte) bool {
-		conn.SetWriteDeadline(s.now().Add(s.opts.WriteTimeout))
-		if _, err := w.Write(b); err != nil {
-			return false
-		}
-		return w.Flush() == nil
-	}
-	sendRow := func(row int, t *fot.Ticket) bool {
+	sendBin := func(b []byte) bool { return queue(b) && flush() }
+	// queueRow buffers one row frame; the caller flushes after the batch.
+	queueRow := func(row int, t *fot.Ticket) bool {
 		if binary {
 			frame = enc.AppendRow(frame[:0], row, t)
-			return sendBin(frame)
+			return queue(frame)
 		}
 		m, err := rowMessage(row, *t)
 		if err != nil {
 			send(&Message{Kind: KindError, Error: err.Error()})
 			return false
 		}
-		return send(m)
+		return queueMsg(m)
 	}
 	sendEpoch := func(epoch uint64, rows int, foldedAt time.Time) bool {
 		if binary {
@@ -248,9 +265,12 @@ func (s *Server) stream(conn net.Conn) {
 				return
 			}
 			for i := range rows {
-				if !sendRow(sentRows+i, &rows[i]) {
+				if !queueRow(sentRows+i, &rows[i]) {
 					return
 				}
+			}
+			if !flush() {
+				return
 			}
 			sentRows = snap.Tickets()
 		}

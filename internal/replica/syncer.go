@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,6 +41,10 @@ type SyncerOptions struct {
 	// "json" forces legacy NL-JSON without offering.
 	Codec string
 }
+
+// maxPendingReserve caps how many rows a hello may make the syncer
+// reserve up front; a longer catch-up grows pending by append past it.
+const maxPendingReserve = 1 << 22
 
 // SyncStats is a snapshot of the syncer's lifetime counters.
 type SyncStats struct {
@@ -359,6 +364,11 @@ func (s *Syncer) stream(conn net.Conn) (progressed bool, err error) {
 	switch hello.Kind {
 	case KindHello:
 		applyHello(hello.Epoch)
+		// Size pending once for the whole catch-up from the primary's
+		// row count, so a large catch-up never regrows (and copies) it.
+		if need := hello.Rows - nextRow; need > 0 {
+			s.pending = slices.Grow(s.pending, min(need, maxPendingReserve))
+		}
 		negotiated := hello.Codec
 		if negotiated == "" {
 			negotiated = "json"

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,8 +15,11 @@ import (
 // foldProbe wraps every fact's and section's Update of a standard
 // section set, recording per Advance how often each fact folded, whether
 // it folded from nil, and which facts and sections changed identity.
+// The engine folds facts and sections concurrently, so the wrapped
+// Updates record under mu.
 type foldProbe struct {
 	facts    []*core.FoldFact
+	mu       sync.Mutex
 	calls    map[string]int
 	fromNil  map[string]int
 	factMove map[string]bool
@@ -36,11 +40,13 @@ func newFoldProbe(sections []core.IncrementalSection) *foldProbe {
 		p.facts = append(p.facts, f)
 		id, update := f.ID, f.Update
 		f.Update = func(prev core.SectionState, facts []core.Fact, ix *fot.TraceIndex, rows []int32) (core.SectionState, error) {
+			next, err := update(prev, facts, ix, rows)
+			p.mu.Lock()
+			defer p.mu.Unlock()
 			p.calls[id]++
 			if prev == nil {
 				p.fromNil[id]++
 			}
-			next, err := update(prev, facts, ix, rows)
 			p.factMove[id] = next != prev
 			return next, err
 		}
@@ -56,6 +62,8 @@ func newFoldProbe(sections []core.IncrementalSection) *foldProbe {
 		id, update := sec.ID, sec.Update
 		sec.Update = func(prev core.SectionState, facts []core.Fact, ix *fot.TraceIndex, rows []int32) (core.SectionState, error) {
 			next, err := update(prev, facts, ix, rows)
+			p.mu.Lock()
+			defer p.mu.Unlock()
 			p.ownMove[id] = next != prev
 			return next, err
 		}

@@ -42,8 +42,9 @@ type Options struct {
 	// Census is the asset view the population-normalized sections
 	// (Fig. 6, Table IV, Fig. 8, verdicts) join against.
 	Census *core.Census
-	// Workers caps parallel section recomputation; <= 0 means one per
-	// CPU.
+	// Workers caps the goroutines one fold or one render fans out to:
+	// the incremental engine's fact and section folds, and the renders
+	// of a request's missing sections; <= 0 means one per CPU.
 	Workers int
 	// FoldInterval is how often buffered tickets are folded into a new
 	// epoch (default 200ms). Folding is cheap; the interval exists so a

@@ -122,8 +122,9 @@ type SectionRenderStats struct {
 }
 
 // NewState builds an empty state (epoch 0) whose reports use the given
-// census and fan section recomputation across workers goroutines (<= 0
-// means one per CPU, as in core.Runner).
+// census. workers caps the goroutines one fold or one render fans out
+// to: the engine's fact and section folds, and the renders of a
+// request's missing sections (<= 0 means one per CPU, as in core.Pool).
 func NewState(census *core.Census, workers int) *State {
 	st := &State{
 		census:   census,
@@ -136,6 +137,7 @@ func NewState(census *core.Census, workers int) *State {
 		st.order = append(st.order, sec.ID)
 	}
 	st.engine = core.NewIncrementalEngine(report.StandardIncrementalSections(census))
+	st.engine.SetWorkers(workers)
 	st.secStat = make(map[string]*sectionRenderCounters, len(st.order))
 	for _, id := range st.order {
 		st.secStat[id] = &sectionRenderCounters{}
@@ -227,11 +229,18 @@ func (st *State) publish(batch []fot.Ticket, epoch uint64, now time.Time) *Snaps
 	// later Fold's appends, even when they land in the same array.
 	view := st.all[:len(st.all):len(st.all)]
 	snap := st.newSnapshot(prev.index, epoch, view, now)
-	// Fold the appended rows into the engine, then pre-seed the new
-	// epoch's cache with every rendered section the fold provably left
-	// byte-identical: a warm epoch advance re-renders only what changed.
+	// Fold the appended rows into the engine and the predictor at once
+	// (both only read the new index), then pre-seed the new epoch's cache
+	// with every rendered section the fold provably left byte-identical:
+	// a warm epoch advance re-renders only what changed.
+	var pred sync.WaitGroup
+	pred.Add(1)
+	go func() {
+		defer pred.Done()
+		st.pred.Advance(snap.index, epoch)
+	}()
 	changed := st.engine.Advance(snap.index, epoch)
-	st.pred.Advance(snap.index, epoch)
+	pred.Wait()
 	prev.cache.mu.Lock()
 	for id, res := range prev.cache.done {
 		//lint:ignore maporder cache carry-over; per-key copy, order immaterial
@@ -310,14 +319,15 @@ func (st *State) IncrementalStats() (map[string]SectionRenderStats, core.Increme
 }
 
 // RenderSections renders the requested section ids against one snapshot,
-// serving repeats from the epoch's cache and recomputing every missing
-// section in parallel through core.Runner. Concurrent misses of the same
-// section are deduplicated: exactly one caller renders it, the rest wait
-// for its result. Results come back in the requested order; an unknown
-// id is an error.
+// serving repeats from the epoch's cache and rendering every missing
+// section as one task on a core.Pool of the state's workers: from the
+// engine's fold state when it matches the snapshot's epoch, else by the
+// section's full recompute. Concurrent misses of the same section are
+// deduplicated: exactly one caller renders it, the rest wait for its
+// result. Results come back in the requested order; an unknown id is an
+// error.
 func (st *State) RenderSections(snap *Snapshot, ids []string) ([]core.SectionResult, error) {
 	results := make([]core.SectionResult, len(ids))
-	var missing []core.Section
 	var missingAt []int
 	type waiter struct {
 		at int
@@ -348,51 +358,41 @@ func (st *State) RenderSections(snap *Snapshot, ids []string) ([]core.SectionRes
 		}
 		st.misses.Add(1)
 		snap.cache.inflight[id] = make(chan struct{})
-		missing = append(missing, st.sections[id])
 		missingAt = append(missingAt, i)
 	}
 	snap.cache.mu.Unlock()
 
-	if len(missing) > 0 {
-		// Delta path first: sections whose fold state matches this
-		// snapshot's epoch render from carried state instead of rescanning
-		// history. A stale snapshot, a broken section or a disabled engine
-		// falls back to the full recompute transparently.
-		rendered := make([]core.SectionResult, 0, len(missing))
-		renderedAt := make([]int, 0, len(missing))
-		var fallback []core.Section
-		var fallbackAt []int
-		for j, sec := range missing {
-			if !st.incOff.Load() {
-				var buf bytes.Buffer
-				if ok, err := st.engine.TryRender(sec.ID, snap.epoch, snap.index, &buf); ok {
-					rendered = append(rendered, core.SectionResult{ID: sec.ID, Text: buf.Bytes(), Err: err})
-					renderedAt = append(renderedAt, missingAt[j])
-					if c := st.secStat[sec.ID]; c != nil {
-						c.incremental.Add(1)
-					}
-					continue
+	// Delta path first: a section whose fold state matches this
+	// snapshot's epoch renders from carried state instead of rescanning
+	// history. A stale snapshot, a broken section or a disabled engine
+	// falls back to the full recompute transparently.
+	core.Pool{Workers: st.workers}.Run(len(missingAt), nil, func(j int) {
+		at := missingAt[j]
+		id := ids[at]
+		c := st.secStat[id]
+		var buf bytes.Buffer
+		if !st.incOff.Load() {
+			if ok, err := st.engine.TryRender(id, snap.epoch, snap.index, &buf); ok {
+				results[at] = core.SectionResult{ID: id, Text: buf.Bytes(), Err: err}
+				if c != nil {
+					c.incremental.Add(1)
 				}
+				return
 			}
-			if c := st.secStat[sec.ID]; c != nil {
-				c.fallback.Add(1)
-			}
-			fallback = append(fallback, sec)
-			fallbackAt = append(fallbackAt, missingAt[j])
 		}
-		if len(fallback) > 0 {
-			bundle := core.Runner{Workers: st.workers}.RunAll(snap.index, fallback)
-			rendered = append(rendered, bundle.Sections...)
-			renderedAt = append(renderedAt, fallbackAt...)
+		if c != nil {
+			c.fallback.Add(1)
 		}
+		err := st.sections[id].Render(snap.index, &buf)
+		results[at] = core.SectionResult{ID: id, Text: buf.Bytes(), Err: err}
+	})
+	if len(missingAt) > 0 {
 		snap.cache.mu.Lock()
-		for j, res := range rendered {
+		for _, at := range missingAt {
+			res := results[at]
 			snap.cache.done[res.ID] = res
-			results[renderedAt[j]] = res
-			if ch, ok := snap.cache.inflight[res.ID]; ok {
-				close(ch)
-				delete(snap.cache.inflight, res.ID)
-			}
+			close(snap.cache.inflight[res.ID])
+			delete(snap.cache.inflight, res.ID)
 		}
 		snap.cache.mu.Unlock()
 	}
